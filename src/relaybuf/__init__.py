@@ -5,7 +5,8 @@ Four mutually cross-checking solution paths:
 * :mod:`relaybuf.mdp` -- average-reward solvers (relative value iteration
   and policy iteration) over the queue state space;
 * :mod:`relaybuf.chain` -- per-threshold Markov chains over the recurrent
-  class, solved by partition factorization with a rank-one-update sweep;
+  class, all solved at once by banded GTH state reduction, with the paper's
+  rank-one-update sweep kept for its complexity comparison;
 * :mod:`relaybuf.symmetric` -- closed forms for the symmetric system;
 * :mod:`relaybuf.sim` -- seeded Monte Carlo simulation of any policy.
 """
@@ -48,10 +49,12 @@ from .chain import (
     map_threshold_set,
     optimal_threshold_search,
     rank_one_inverse_update,
+    rank_one_search,
     recurrent_class,
     steady_state_direct,
     sweep_flop_counts,
     threshold_throughput,
+    tie_maximizers,
 )
 from .symmetric import (
     SymmetricConfig,

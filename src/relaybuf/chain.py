@@ -3,17 +3,28 @@
 Under the greedy rate rule and a threshold link selection, the relay queue
 is a finite Markov chain whose recurrent class C does not depend on the
 threshold.  The throughput of a threshold q is pi(q) . r(q) over C, so the
-optimum is found by sweeping the thresholds in ascending order.
+optimum is found by evaluating every threshold of C.
 
-Two sweep paths are implemented and cross-check each other:
+The production sweep (``optimal_threshold_search``, and
+``threshold_throughput`` for single thresholds) is one banded GTH kernel:
+under any threshold the chain only moves up to min(c + rs, nr) and down to
+max(c - rr, 0), so P is banded in index space, and state reduction from the
+top (Grassmann, Taksar & Heyman, Oper. Res. 33(5), 1985) keeps that band and
+subtracts nothing.  It needs no safety gates, and it runs all thresholds at
+once as lanes of one array, costing O(|C|^2 w^2) flops over the sweep for
+band width w.
+
+The paper's two sweeps remain for its complexity comparison and cross-check
+the kernel:
 
 * brute force -- a fresh partition-factorization solve (Gaussian
   elimination) per threshold, costing O(|C|^4) flops over the sweep;
-* updated     -- the reduced matrix of adjacent thresholds differs by one
+* rank one    -- the reduced matrix of adjacent thresholds differs by one
   column, so its inverse is carried across the sweep with permuted
-  rank-one (Sherman-Morrison) updates, costing O(|C|^3) overall.
+  rank-one (Sherman-Morrison) updates, costing O(|C|^3) overall
+  (``rank_one_search``).
 
-The elimination and update kernels are hand-rolled and instrumented with
+Their elimination and update kernels are hand-rolled and instrumented with
 flop counters so the two complexity classes can be measured directly.
 """
 
@@ -47,6 +58,19 @@ DENOM_TOL = 1e-12
 SAFE_DENOM = 1e-3
 SAFE_SCALE = 1e5
 SAFE_INVERSE = 1e2
+
+# Thresholds whose throughput lies within this relative gap of the best are
+# ties up to roundoff.
+TRACE_TIE_TOL = 1e-11
+
+# Unnormalized stationary masses grow geometrically up a chain drifting
+# upwards and would overflow within a few hundred states; back-substitution
+# divides the masses so far by the newest one once it passes this size.
+RESCALE = 1e100
+
+# Band entries per threshold batch of the GTH kernel (8 MB of doubles), so
+# its memory stays bounded however many thresholds |C| has.
+BATCH_ELEMENTS = 1 << 20
 
 
 class FlopCounter:
@@ -357,8 +381,9 @@ def steady_state_folding(model: ChainModel) -> SteadyState:
     Eliminates the highest state at a time using only additions,
     multiplications and divisions of nonnegative numbers, so every entry
     comes out with small componentwise relative error even when the chain is
-    drifted far beyond what the partitioned linear solve can represent.
-    Used as the fallback when elimination degenerates numerically.
+    drifted far beyond what the partitioned linear solve can represent;
+    back-substitution rescales the masses past RESCALE so they never
+    overflow.  Used as the fallback when elimination degenerates numerically.
     """
     p = np.array(model.P, dtype=float)
     m = p.shape[0]
@@ -372,7 +397,96 @@ def steady_state_folding(model: ChainModel) -> SteadyState:
     x[0] = 1.0
     for n in range(1, m):
         x[n] = x[:n] @ p[:n, n]
+        if x[n] > RESCALE:
+            x[:n + 1] /= x[n]
     return SteadyState(pi=x / x.sum())
+
+
+def _band_rows(cfg: SystemConfig, st: RecurrentStructure):
+    """The two row types of P over C in band storage, with their rates.
+
+    Row i of P is stored as band[i, d] with column j = i - drop + d, where
+    drop and rise are the largest index moves down and up the class.
+    Returns the source-side rows (states at or below the threshold), the
+    relay-side rows, the departure rates of each side, drop and rise.
+    """
+    pos = {c: i for i, c in enumerate(st.states)}
+    idx = np.arange(st.size)
+    up = np.array([pos[min(c + cfg.rs, cfg.nr)] for c in st.states])
+    down = np.array([pos[max(c - cfg.rr, 0)] for c in st.states])
+    drop, rise = int((idx - down).max()), int((up - idx).max())
+    qs, qr = cfg.ps_bar, cfg.pr_bar
+    rows = []
+    for to_up, to_down in ((cfg.ps, qs * cfg.pr), (cfg.ps * qr, cfg.pr)):
+        band = np.zeros((st.size, drop + rise + 1))
+        # masses accumulate in build_transition_matrix's order
+        band[idx, drop] += qs * qr
+        np.add.at(band, (idx, up - idx + drop), to_up)
+        np.add.at(band, (idx, down - idx + drop), to_down)
+        rows.append(band)
+    cap = np.minimum(np.asarray(st.states), cfg.rr)
+    return rows[0], rows[1], cfg.ps_bar * cfg.pr * cap, cfg.pr * cap, drop, rise
+
+
+def _gth_batch(bands, ks, counter):
+    # Lane t of every array is the threshold at class index ks[t].  All
+    # arithmetic is elementwise across lanes or summed in a fixed order, so
+    # a lane's result does not depend on the batch it runs in.
+    src, rel, r_src, r_rel, drop, rise = bands
+    m = src.shape[0]
+    p = np.where((np.arange(m)[:, None] <= ks)[:, None, :], src[:, :, None], rel[:, :, None])
+    flops = 0
+    # reduce states from the top; the fill stays inside the (drop, rise) band
+    for n in range(m - 1, 0, -1):
+        lo_c, lo_r = max(0, n - drop), max(0, n - rise)
+        lower = p[n, lo_c - n + drop:drop]      # row n into the states below it
+        escape = lower[0].copy()
+        for term in lower[1:]:
+            escape += term
+        if not (escape > 0.0).all():
+            raise SingularSystem(f"state index {n} cannot reach lower states; chain reducible")
+        for i in range(lo_r, n):
+            into = p[i, n - i + drop]           # P[i, n], scaled in place
+            into /= escape
+            p[i, lo_c - i + drop:n - i + drop] += into * lower
+        a, k = n - lo_c, n - lo_r
+        flops += a - 1 + k * (1 + 2 * a)
+    x = np.empty((m, ks.size))
+    x[0] = 1.0
+    for n in range(1, m):
+        lo_r = max(0, n - rise)
+        acc = x[lo_r] * p[lo_r, n - lo_r + drop]
+        for i in range(lo_r + 1, n):
+            acc += x[i] * p[i, n - i + drop]
+        x[n] = acc
+        flops += 2 * (n - lo_r) - 1
+        if (acc > RESCALE).any():
+            x[:n + 1] /= np.where(acc > RESCALE, acc, 1.0)
+    if counter is not None:
+        counter.add((flops + 3 * m - 1) * ks.size)
+    x = np.ascontiguousarray(x.T)
+    r = np.where(np.arange(m) <= ks[:, None], r_src, r_rel)
+    return (x * r).sum(axis=1) / x.sum(axis=1)
+
+
+def banded_throughputs(cfg: SystemConfig, ks, structure: Optional[RecurrentStructure] = None,
+                       counter: Optional[FlopCounter] = None) -> np.ndarray:
+    """Throughput of the thresholds at class indices ks by banded GTH reduction.
+
+    Every threshold's chain is stored in (|C|, drop + rise + 1) band form
+    and reduced from the top state down (GTH state reduction), all
+    thresholds at once as lanes of one array, then back-substituted and
+    normalized; theta = pi . r.  Only non-negative numbers are added,
+    multiplied and divided, so every threshold keeps a small relative error
+    however drifted its chain is.  Thresholds run in batches of at most
+    BATCH_ELEMENTS band entries.  A passed counter receives the flops.
+    """
+    st = structure or recurrent_class(cfg)
+    bands = _band_rows(cfg, st)
+    ks = np.asarray(ks, dtype=int)
+    batch = max(1, BATCH_ELEMENTS // bands[0].size)
+    return np.concatenate([_gth_batch(bands, ks[s:s + batch], counter)
+                           for s in range(0, ks.size, batch)])
 
 
 def rank_one_inverse_update(prev: PartitionedSystem,
@@ -566,9 +680,31 @@ def _best_of(trace) -> Tuple[int, float]:
     return best_q, best
 
 
+def tie_maximizers(trace, tol: float = TRACE_TIE_TOL) -> List[int]:
+    """Thresholds of a trace within tol * (1 + |best|) of its best throughput."""
+    best = max(val for _, val in trace)
+    gap = tol * (1.0 + abs(best))
+    return [q for q, val in trace if best - val <= gap]
+
+
 def optimal_threshold_search(cfg: SystemConfig,
                              counter: Optional[FlopCounter] = None) -> SweepResult:
-    """Sweep all recurrent thresholds with the rank-one update path.
+    """Evaluate every recurrent threshold with the banded GTH kernel.
+
+    All thresholds run as lanes of one state reduction, with no rebuilds,
+    gates or fallback, so ``fallbacks`` and ``degraded`` are always 0.  A
+    passed counter receives the kernel's flops.
+    """
+    st = recurrent_class(cfg)
+    thetas = banded_throughputs(cfg, range(st.size), st, counter)
+    trace = tuple(zip(st.states, thetas.tolist()))
+    best_q, best = _best_of(trace)
+    return SweepResult(q_opt=best_q, throughput=best, trace=trace, structure=st)
+
+
+def rank_one_search(cfg: SystemConfig,
+                    counter: Optional[FlopCounter] = None) -> SweepResult:
+    """Sweep all recurrent thresholds with the paper's rank-one update path.
 
     The first threshold's reduced inverse comes from Gaussian elimination;
     each later one reuses the previous inverse through
@@ -630,31 +766,28 @@ def threshold_throughput(cfg: SystemConfig, q_th: int,
     """Long-run throughput of an arbitrary threshold in {0..nr}.
 
     Thresholds outside the recurrent class act on it exactly like the largest
-    recurrent state at or below them, so the chain is solved there.
+    recurrent state at or below them, so the chain is solved there, by the
+    sweep's own kernel: the result equals that threshold's trace entry.
     """
     st = structure or recurrent_class(cfg)
     if not 0 <= q_th <= cfg.nr:
         raise ThresholdNotRecurrent(f"threshold {q_th} outside 0..{cfg.nr}")
-    anchored = max(c for c in st.states if c <= q_th)
-    model = build_transition_matrix(cfg, anchored, st)
-    try:
-        pi = steady_state_direct(model)
-    except SingularSystem:
-        pi = steady_state_folding(model)
-    return pi.throughput(model)
+    k = max(i for i, c in enumerate(st.states) if c <= q_th)
+    return float(banded_throughputs(cfg, [k], st)[0])
 
 
 def sweep_flop_counts(cfg: SystemConfig) -> Tuple[int, int]:
-    """(flops_direct, flops_updated) for full sweeps of both paths.
+    """(flops_direct, flops_updated) for full sweeps of the paper's two paths.
 
     Only the linear-algebra kernels are counted: eliminations on the direct
-    path; the initial inversion, update formula and back-solves on the
-    updated path.  Matrix assembly and normalization are excluded from both.
+    path (``brute_force_search``); the initial inversion, update formula and
+    back-solves on the rank-one path (``rank_one_search``).  Matrix assembly
+    and normalization are excluded from both.
     """
     direct = FlopCounter()
     brute_force_search(cfg, direct)
     updated = FlopCounter()
-    optimal_threshold_search(cfg, updated)
+    rank_one_search(cfg, updated)
     return direct.total, updated.total
 
 

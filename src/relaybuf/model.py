@@ -10,6 +10,7 @@ the package is built on the primitives defined here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Optional, Union
 
 from .errors import (
@@ -55,11 +56,14 @@ class SystemConfig:
 def validate_config(cfg: SystemConfig) -> SystemConfig:
     """Check the SystemConfig invariants and return the config unchanged.
 
-    Raises BufferTooSmall when nr <= max(rs, rr) and ProbabilityOutOfRange
-    when either link probability leaves [0, 1] (or a rate is non-positive).
+    Raises BufferTooSmall when a rate is not a positive integer, nr is not an
+    integer or nr <= max(rs, rr), and ProbabilityOutOfRange when either link
+    probability leaves [0, 1].
     """
     if cfg.rs < 1 or cfg.rr < 1 or int(cfg.rs) != cfg.rs or int(cfg.rr) != cfg.rr:
         raise BufferTooSmall(f"rates must be positive integers, got rs={cfg.rs} rr={cfg.rr}")
+    if not isinstance(cfg.nr, Integral):
+        raise BufferTooSmall(f"nr must be an integer, got nr={cfg.nr!r}")
     if cfg.nr <= max(cfg.rs, cfg.rr):
         raise BufferTooSmall(f"need nr > max(rs, rr), got nr={cfg.nr}")
     for name, p in (("ps", cfg.ps), ("pr", cfg.pr)):
@@ -109,6 +113,10 @@ class CsiOnlyPolicy:
     """Queue-blind baseline: at G=(1,1) pick the relay link w.p. sigma."""
 
     sigma: float = 0.5
+
+    def __post_init__(self):
+        if not 0.0 <= self.sigma <= 1.0:
+            raise ProbabilityOutOfRange(f"sigma={self.sigma} outside [0, 1]")
 
 
 PolicySpec = Union[ThresholdPolicy, TabularPolicy, CsiOnlyPolicy]

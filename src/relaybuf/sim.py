@@ -28,6 +28,13 @@ from .model import (
 _REW_BITS = 32  # packed accumulator: reward in the low word, arrivals above
 
 
+def _check_accumulator(cfg: SystemConfig, window: int):
+    """Refuse a window whose delivered packets could carry into the arrivals."""
+    if window * cfg.rr >= 1 << _REW_BITS:
+        raise ValueError(f"a window of {window} slots at rr={cfg.rr} can deliver "
+                         f"2**{_REW_BITS} packets or more, past the packed accumulator")
+
+
 @dataclass(frozen=True)
 class SimSettings:
     """Horizon/seed bundle for one simulation run.
@@ -93,6 +100,9 @@ def _policy_table(cfg: SystemConfig, policy: PolicySpec):
     into 3 = keep source link, 4 = relay link, making the slot update a pure
     (queue, symbol) lookup for every policy kind.
     """
+    if isinstance(policy, TabularPolicy) and len(policy.relay_choice) != cfg.nr + 1:
+        raise ValueError(f"tabular policy has {len(policy.relay_choice)} entries, "
+                         f"need nr + 1 = {cfg.nr + 1}")
     randomized = isinstance(policy, CsiOnlyPolicy)
     ncols = 5 if randomized else 4
     next_q: List[int] = []
@@ -137,6 +147,7 @@ def simulate(cfg: SystemConfig, policy: PolicySpec, settings: SimSettings) -> Si
     validate_config(cfg)
     warmup = settings.resolved_warmup()
     window = settings.horizon - warmup
+    _check_accumulator(cfg, window)
     next_q, packed, _, ncols = _policy_table(cfg, policy)
     hist = np.zeros(cfg.nr + 1, dtype=np.int64)
     throughputs = []
@@ -247,6 +258,7 @@ def dominance_check(cfg: SystemConfig, policy: PolicySpec, settings: SimSettings
     packets at the horizon weakly dominates every variant.
     """
     validate_config(cfg)
+    _check_accumulator(cfg, settings.horizon)   # _record_baseline packs the whole path
     next_q, packed, acode, ncols = _policy_table(cfg, policy)
     sym = _symbols(cfg, policy, settings, rep=0)
     base_reward, codes = _record_baseline(cfg, policy, sym, ncols)

@@ -30,7 +30,7 @@ from relaybuf import (
     sweep_flop_counts,
     threshold_throughput,
 )
-from relaybuf.chain import brute_force_search, partition_system, sweep_steps
+from relaybuf.chain import brute_force_search, partition_system, rank_one_search, sweep_steps
 from relaybuf.errors import SingularSystem
 from relaybuf.mdp import check_value_properties, delta_j, sign_changes
 from relaybuf.sim import baseline_policy
@@ -243,7 +243,7 @@ def test_criterion_9_complexity_trend():
         t_pia = _median_time(lambda: policy_iteration_solve(cfg))
         t_rvia = _median_time(lambda: rvia_solve(cfg))
         t_brute = _median_time(lambda: brute_force_search(cfg))
-        t_alg3 = _median_time(lambda: optimal_threshold_search(cfg))
+        t_alg3 = _median_time(lambda: rank_one_search(cfg))
         order_ok &= t_alg3 <= t_brute <= t_rvia <= t_pia
         flops_direct, flops_updated = sweep_flop_counts(cfg)
         n = c - 1

@@ -14,16 +14,20 @@ from relaybuf import (
     sweep_flop_counts,
     threshold_throughput,
 )
+from relaybuf import chain
 from relaybuf.chain import (
     ChainModel,
     FlopCounter,
     RecurrentStructure,
+    banded_throughputs,
     brute_force_search,
     invert_elimination,
     partition_system,
+    rank_one_search,
     solve_elimination,
     steady_state_folding,
     sweep_steps,
+    tie_maximizers,
     trace_csv,
 )
 from relaybuf.errors import DenominatorNearZero, SingularSystem, ThresholdNotRecurrent
@@ -259,11 +263,82 @@ def test_sweep_agrees_with_brute_and_rvia(rng):
         cfg = sample_config(rng, nr_max=40)
         fast = optimal_threshold_search(cfg)
         brute = brute_force_search(cfg)
+        paper = rank_one_search(cfg)
         assert fast.q_opt == brute.q_opt
-        for (qa, va), (qb, vb) in zip(fast.trace, brute.trace):
-            assert qa == qb and va == pytest.approx(vb, abs=1e-9)
+        for (qa, va), (qb, vb), (qc, vc) in zip(fast.trace, brute.trace, paper.trace):
+            assert qa == qb == qc and va == pytest.approx(vb, abs=1e-9)
+            assert vc == pytest.approx(vb, abs=1e-9)
         vf = rvia_solve(cfg)
         assert fast.throughput == pytest.approx(vf.theta, abs=1e-8)
+
+
+# --- banded GTH kernel where the rank-one sweep degrades ---
+
+# |C| of 151-402: strongly drifted links (p within 0.08 of 0 or 1) and
+# gcd > 1 lattices with l = 2 and 4, where the rank-one sweep rebuilds most
+# thresholds and folds many.  Chains up to FULL_CHECK_SIZE are checked on
+# every threshold; larger ones on a seeded sample, since one dense folding
+# solve costs O(|C|^3).
+CORNERS = [(4, 2, 300), (3, 3, 227), (2, 1, 150), (6, 6, 904), (5, 3, 401)]
+FULL_CHECK_SIZE = 160
+
+
+@pytest.mark.parametrize("rs,rr,nr", CORNERS)
+def test_kernel_matches_folding_in_drifted_corners(rs, rr, nr):
+    rng = np.random.default_rng([rs, rr, nr])
+    ps, pr = (float(p if rng.random() < 0.5 else 1.0 - p) for p in rng.uniform(0.03, 0.08, 2))
+    cfg = SystemConfig(rs, rr, nr, ps, pr)
+    sweep = optimal_threshold_search(cfg)
+    st = sweep.structure
+    assert 150 <= st.size <= 402
+    assert sweep.fallbacks == sweep.degraded == 0
+    assert [q for q, _ in sweep.trace] == list(st.states)
+    assert np.isfinite([theta for _, theta in sweep.trace]).all()
+    ks = range(st.size)
+    if st.size > FULL_CHECK_SIZE:
+        ks = sorted({0, st.size - 1, *rng.choice(st.size, 6, replace=False).tolist()})
+    for k in ks:
+        q, theta = sweep.trace[k]
+        model = build_transition_matrix(cfg, q, st)
+        folded = steady_state_folding(model).throughput(model)
+        assert abs(theta - folded) <= 1e-12 * (1.0 + folded), (cfg, q)
+        assert threshold_throughput(cfg, q, st) == theta
+
+
+def test_folding_survives_upward_drift():
+    # the top state's stationary mass is about 10^429 times state 0's
+    cfg = SystemConfig(1, 1, 300, 0.9, 0.1)
+    model = build_transition_matrix(cfg, 150)
+    pi = steady_state_folding(model).pi
+    assert np.isfinite(pi).all() and abs(pi.sum() - 1.0) < 1e-12
+    assert np.abs(pi @ model.P - pi).max() < 1e-12
+    assert threshold_throughput(cfg, 150) == pytest.approx(pi @ model.r, rel=1e-12)
+
+
+def test_kernel_batches_do_not_change_results(monkeypatch):
+    cfg = SystemConfig(3, 2, 60, 0.3, 0.8)
+    st = recurrent_class(cfg)
+    whole = banded_throughputs(cfg, range(st.size), st)
+    monkeypatch.setattr(chain, "BATCH_ELEMENTS", 1)   # one threshold per batch
+    assert np.array_equal(banded_throughputs(cfg, range(st.size), st), whole)
+
+
+def test_kernel_flops_grow_with_square_of_class():
+    counts = []
+    for nr in (100, 200):
+        counter = FlopCounter()
+        res = optimal_threshold_search(SystemConfig(4, 2, nr, 0.5, 0.5), counter)
+        counts.append(counter.total)
+        assert res.fallbacks == res.degraded == 0
+    # fixed band width: doubling |C| quadruples the sweep's flops
+    assert 3.6 <= counts[1] / counts[0] <= 4.4
+
+
+def test_tie_maximizers_tolerance():
+    trace = ((0, 0.3), (1, 0.3 - 1e-13), (2, 0.3 - 1e-9), (3, 0.2))
+    assert tie_maximizers(trace) == [0, 1]
+    assert tie_maximizers(trace, tol=1e-8) == [0, 1, 2]
+    assert tie_maximizers(trace, tol=0.0) == [0]
 
 
 def test_map_threshold_set():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from relaybuf import cli
 from relaybuf.cli import main
 
 
@@ -43,6 +44,28 @@ def test_solve_symmetric_reports_closed_form(tmp_path):
     assert report["symmetric"]["matches_sweep"] is True
     assert report["threshold"]["optimal_set"] == [6, 7]
     assert report["threshold"]["rvia"] == 7
+
+
+@pytest.mark.parametrize("cfg", [
+    ("2", "2", "300", ".5", ".5"),    # closed-form set inside a flat plateau
+    ("3", "3", "150", ".7", ".7"),
+    ("4", "2", "400", ".3", ".7"),    # RVIA's threshold is outside the 1e-11 tie set
+])
+def test_solve_accepts_thresholds_on_a_roundoff_plateau(tmp_path, cfg):
+    rs, rr, nr, ps, pr = cfg
+    code = run(tmp_path, "solve", "--rs", rs, "--rr", rr, "--nr", nr, "--ps", ps, "--pr", pr)
+    report = json.loads((tmp_path / "solve_report.json").read_text())
+    assert code == 0, report["agreement"]
+    assert report["agreement"]["ok"] is True
+    assert report["symmetric"].get("matches_sweep", True) is True
+
+
+def test_solve_flags_a_threshold_off_the_plateau(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "extract_threshold", lambda vf, cfg: 0)
+    code = run(tmp_path, "solve", "--rs", "1", "--rr", "2", "--nr", "14",
+               "--ps", "0.5", "--pr", "0.5")
+    assert code == 3
+    assert json.loads((tmp_path / "solve_report.json").read_text())["agreement"]["ok"] is False
 
 
 def test_solve_rejects_bad_config(tmp_path):
@@ -92,6 +115,12 @@ def test_simulate_baseline_and_optimal(tmp_path):
 def test_simulate_rejects_unknown_policy(tmp_path):
     assert run(tmp_path, "simulate", "--rs", "1", "--rr", "1", "--nr", "4",
                "--ps", "0.5", "--pr", "0.5", "--policy", "wat",
+               "--horizon", "100") == 2
+
+
+def test_simulate_rejects_sigma_outside_unit_interval(tmp_path):
+    assert run(tmp_path, "simulate", "--rs", "1", "--rr", "1", "--nr", "4",
+               "--ps", "0.5", "--pr", "0.5", "--policy", "csi:1.5",
                "--horizon", "100") == 2
 
 

@@ -40,6 +40,19 @@ def test_validate_rejects_bad_probability(ps, pr):
         validate_config(SystemConfig(rs=1, rr=1, nr=4, ps=ps, pr=pr))
 
 
+@pytest.mark.parametrize("nr", [4.5, 4.0, "4"])
+def test_validate_rejects_non_integer_buffer(nr):
+    with pytest.raises(BufferTooSmall, match="integer"):
+        validate_config(SystemConfig(rs=1, rr=1, nr=nr, ps=0.5, pr=0.5))
+
+
+@pytest.mark.parametrize("sigma", [-0.1, 1.5, float("nan")])
+def test_csi_only_rejects_sigma_outside_unit_interval(sigma):
+    with pytest.raises(ProbabilityOutOfRange):
+        CsiOnlyPolicy(sigma)
+    assert CsiOnlyPolicy(0.0).sigma == 0.0 and CsiOnlyPolicy(1.0).sigma == 1.0
+
+
 def test_optimal_rates_examples():
     assert optimal_rates(0, SystemConfig(2, 1, 3, 0.5, 0.5)) == (2, 0)
     cfg = SystemConfig(1, 2, 4, 0.5, 0.5)

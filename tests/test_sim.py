@@ -5,6 +5,7 @@ from relaybuf import (
     CsiOnlyPolicy,
     SimSettings,
     SystemConfig,
+    TabularPolicy,
     ThresholdPolicy,
     baseline_policy,
     build_transition_matrix,
@@ -14,6 +15,7 @@ from relaybuf import (
     simulate,
     steady_state_direct,
 )
+from relaybuf import sim
 from relaybuf.sim import histogram_csv, policy_label, result_csv
 
 from conftest import sample_config
@@ -172,6 +174,32 @@ def test_settings_validation():
         SimSettings(horizon=100, replications=0)
     with pytest.raises(ValueError):
         SimSettings(horizon=100, warmup=100).resolved_warmup()
+
+
+def test_window_that_could_overflow_the_accumulator_is_refused(monkeypatch):
+    def no_symbols(*args):
+        raise AssertionError("symbols drawn for a refused window")
+    monkeypatch.setattr(sim, "_symbols", no_symbols)
+    cfg = SystemConfig(1, 50, 100, 0.5, 0.9)
+    settings = SimSettings(horizon=10**8, seed=1)
+    with pytest.raises(ValueError, match="accumulator"):
+        simulate(cfg, ThresholdPolicy(50), settings)
+    with pytest.raises(ValueError, match="accumulator"):
+        dominance_check(cfg, ThresholdPolicy(50), settings)
+    # the bound: a window may deliver at most 2**32 - 1 packets
+    limit = ((1 << sim._REW_BITS) - 1) // cfg.rr
+    sim._check_accumulator(cfg, limit)
+    with pytest.raises(ValueError):
+        sim._check_accumulator(cfg, limit + 1)
+
+
+def test_tabular_policy_must_cover_every_state():
+    cfg = SystemConfig(1, 1, 4, 0.5, 0.5)
+    with pytest.raises(ValueError, match="nr \\+ 1"):
+        simulate(cfg, TabularPolicy((0, 0, 1, 1)), SimSettings(horizon=100))
+    with pytest.raises(ValueError):
+        simulate(cfg, TabularPolicy((0, 0, 1, 1, 1, 1)), SimSettings(horizon=100))
+    simulate(cfg, TabularPolicy((0, 0, 1, 1, 1)), SimSettings(horizon=100))
 
 
 def test_csv_exports():
