@@ -8,13 +8,15 @@ from relaybuf import (
     check_supermodularity,
     check_value_properties,
     extract_threshold,
+    optimal_threshold_search,
     policy_iteration_solve,
     relay_activation_state,
     rvia_solve,
     state_action_reward,
 )
+from relaybuf import mdp
 from relaybuf.errors import DegenerateP, NoConvergence, NotThreshold, QueueOutOfRange
-from relaybuf.mdp import bellman_residual, delta_j, sign_changes
+from relaybuf.mdp import bellman_residual, delta_j, evaluate_policy_direct, sign_changes
 
 from conftest import sample_config
 
@@ -66,6 +68,22 @@ def test_rvia_no_convergence_cap():
         rvia_solve(CFG3, SolverSettings(tol=1e-16, max_iter=3))
 
 
+# Draws from the acceptance suite's law on which a near-tie state (relay
+# advantage positive but below TIE_TOL) made the certification walk cycle
+# between the exact solution and its greedy rule until the sweep cap.
+NEAR_TIE_CYCLES = (
+    SystemConfig(2, 2, 107, 0.4853693219686297, 0.5469778121170199),
+    SystemConfig(3, 3, 71, 0.7714301468897912, 0.9273896830411251),
+)
+
+
+@pytest.mark.parametrize("cfg", NEAR_TIE_CYCLES)
+def test_rvia_certifies_through_a_near_tie_cycle(cfg):
+    vf = rvia_solve(cfg)
+    assert bellman_residual(vf, cfg) <= 1e-10 * (1 + abs(vf.theta))
+    assert vf.theta == pytest.approx(optimal_threshold_search(cfg).throughput, abs=1e-9)
+
+
 def test_rvia_bellman_residual_and_reference_choice():
     for q0 in (0, 2):
         vf = rvia_solve(CFG3, SolverSettings(q0=q0))
@@ -93,6 +111,35 @@ def test_pia_symmetric_threshold_seven():
     choices = np.asarray(policy.relay_choice)
     assert np.all(np.diff(choices) >= 0), "stable policy should be a step function"
     assert int(np.flatnonzero(choices == 0)[-1]) == 7
+
+
+# Symmetric members with a flat trace, and a config whose improvement ends
+# on a same-gain plateau rather than at a fixed point.
+PIA_PLATEAU = SystemConfig(1, 1, 300, 0.25, 0.3)
+PIA_FIXED = (SystemConfig(1, 1, 200, 0.4, 0.4), SystemConfig(2, 2, 300, 0.5, 0.5),
+             SystemConfig(3, 3, 150, 0.7, 0.7), PIA_PLATEAU)
+
+
+def test_pia_exact_rounds_match_sweep(monkeypatch):
+    thetas = []
+
+    def recorded(*args, **kwargs):
+        theta, v = evaluate_policy_direct(*args, **kwargs)
+        thetas.append(theta)
+        return theta, v
+
+    monkeypatch.setattr(mdp, "evaluate_policy_direct", recorded)
+    rng = np.random.default_rng(4242)
+    for cfg in [sample_config(rng) for _ in range(20)] + list(PIA_FIXED):
+        thetas.clear()
+        theta, policy = policy_iteration_solve(cfg)
+        assert len(thetas) <= 50, cfg
+        assert theta == pytest.approx(optimal_threshold_search(cfg).throughput, abs=5e-10)
+        exact, _ = evaluate_policy_direct(np.asarray(policy.relay_choice), cfg)
+        assert abs(theta - exact) <= 1e-12
+        if cfg == PIA_PLATEAU:
+            # the plateau exit keeps the best evaluated rule, not the last
+            assert thetas[-1] < theta == max(thetas)
 
 
 def test_extract_threshold_zero_value_function():
