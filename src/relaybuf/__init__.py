@@ -30,7 +30,6 @@ from .mdp import (
     SolverSettings,
     StructureReport,
     ValueFunction,
-    check_supermodularity,
     check_value_properties,
     extract_threshold,
     policy_iteration_solve,

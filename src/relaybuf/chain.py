@@ -15,7 +15,8 @@ once as lanes of one array, costing O(|C|^2 w^2) flops over the sweep for
 band width w.
 
 The paper's two sweeps remain for its complexity comparison and cross-check
-the kernel:
+the kernel.  They solve the kernel's own band rows, densified by
+``build_transition_matrix``:
 
 * brute force -- a fresh partition-factorization solve (Gaussian
   elimination) per threshold, costing O(|C|^4) flops over the sweep;
@@ -167,37 +168,25 @@ class RecurrentStructure:
 
 
 def recurrent_class(cfg: SystemConfig) -> RecurrentStructure:
-    """Identify the recurrent class by mutual reachability with state 0.
+    """Identify the recurrent class as the states reachable from state 0.
 
     Transitions considered are the three moves every threshold policy allows
     with positive probability: stay, a full source burst min(q+rs, nr), and a
     full relay burst max(q-rr, 0).  The class is therefore identical for every
-    threshold choice.
+    threshold choice.  Relay bursts drain every state to 0, so every state
+    reachable from 0 also returns to it.
     """
     if not (0.0 < cfg.ps < 1.0 and 0.0 < cfg.pr < 1.0):
         raise DegenerateP(f"recurrent class needs 0 < p < 1, got ps={cfg.ps} pr={cfg.pr}")
-
-    def moves(q):
-        return (min(q + cfg.rs, cfg.nr), max(q - cfg.rr, 0))
-
-    forward = {0}
+    reached = {0}
     stack = [0]
     while stack:
         q = stack.pop()
-        for q2 in moves(q):
-            if q2 not in forward:
-                forward.add(q2)
+        for q2 in (min(q + cfg.rs, cfg.nr), max(q - cfg.rr, 0)):
+            if q2 not in reached:
+                reached.add(q2)
                 stack.append(q2)
-    # backward closure: states from which 0 is reachable
-    backward = {0}
-    changed = True
-    while changed:
-        changed = False
-        for q in range(cfg.nr + 1):
-            if q not in backward and any(q2 in backward for q2 in moves(q)):
-                backward.add(q)
-                changed = True
-    states = tuple(sorted(forward & backward))
+    states = tuple(sorted(reached))
 
     g = gcd(cfg.rs, cfg.rr)
     a, b = cfg.rs // g, cfg.rr // g
@@ -235,39 +224,28 @@ def departure_rates(cfg: SystemConfig, q_th: int,
     pr); at or below it only runs when the source link is off.
     """
     st = structure or recurrent_class(cfg)
-    out = np.empty(st.size)
-    for i, c in enumerate(st.states):
-        cap = min(c, cfg.rr)
-        out[i] = cfg.pr * cap if c > q_th else cfg.ps_bar * cfg.pr * cap
-    return out
+    _, _, r_src, r_rel, _, _ = _band_rows(cfg, st)
+    return np.where(np.asarray(st.states) > q_th, r_rel, r_src)
 
 
 def build_transition_matrix(cfg: SystemConfig, q_th: int,
                             structure: Optional[RecurrentStructure] = None) -> ChainModel:
     """Row-stochastic transition matrix over C for threshold q_th.
 
-    Masses landing on the same state accumulate (e.g. the full-buffer state
-    keeps its source-burst mass in place).
+    The dense scatter of the GTH kernel's band rows: source-side rows at or
+    below the threshold, relay-side rows above it.
     """
     st = structure or recurrent_class(cfg)
     if q_th not in st.states:
         raise ThresholdNotRecurrent(f"q_th={q_th} not in recurrent class {list(st.states)}")
-    idx = {c: i for i, c in enumerate(st.states)}
-    m = st.size
-    p = np.zeros((m, m))
-    qs, qr = cfg.ps_bar, cfg.pr_bar
-    for i, c in enumerate(st.states):
-        up = idx[min(c + cfg.rs, cfg.nr)]
-        down = idx[max(c - cfg.rr, 0)]
-        p[i, i] += qs * qr
-        if c > q_th:
-            p[i, up] += cfg.ps * qr
-            p[i, down] += cfg.pr
-        else:
-            p[i, up] += cfg.ps
-            p[i, down] += qs * cfg.pr
+    src, rel, r_src, r_rel, drop, _ = _band_rows(cfg, st)
+    above = np.asarray(st.states) > q_th
+    band = np.where(above[:, None], rel, src)
+    i, d = np.nonzero(band)
+    p = np.zeros((st.size, st.size))
+    p[i, i - drop + d] = band[i, d]
     return ChainModel(cfg=cfg, structure=st, q_th=q_th, P=p,
-                      r=departure_rates(cfg, q_th, st))
+                      r=np.where(above, r_rel, r_src))
 
 
 @dataclass
@@ -419,7 +397,8 @@ def _band_rows(cfg: SystemConfig, st: RecurrentStructure):
     rows = []
     for to_up, to_down in ((cfg.ps, qs * cfg.pr), (cfg.ps * qr, cfg.pr)):
         band = np.zeros((st.size, drop + rise + 1))
-        # masses accumulate in build_transition_matrix's order
+        # stay, then up, then down: masses landing on one state (the full
+        # buffer keeps its source-burst mass in place) add in this order
         band[idx, drop] += qs * qr
         np.add.at(band, (idx, up - idx + drop), to_up)
         np.add.at(band, (idx, down - idx + drop), to_down)
@@ -616,7 +595,9 @@ def sweep_steps(cfg: SystemConfig, counter: Optional[FlopCounter] = None):
     Carries the reduced-system inverse across thresholds by rank-one
     updates, rebuilding by elimination whenever a step is numerically
     unsafe, and degrading to the folding solve for thresholds where the
-    partitioned system cannot be solved in double precision at all.
+    partitioned system cannot be solved in double precision at all.  Only a
+    carried inverse whose stationary vector fails the gate is retried fresh:
+    a retry of a fresh elimination would repeat it exactly.
     """
     st = recurrent_class(cfg)
 
@@ -627,48 +608,40 @@ def sweep_steps(cfg: SystemConfig, counter: Optional[FlopCounter] = None):
         except SingularSystem:
             return model, None
 
+    def stationary(model, part):
+        # the gated stationary vector of a factored system, or None
+        if part is None:
+            return None
+        try:
+            pi = steady_state_from_partition(part, counter)
+        except SingularSystem:
+            return None
+        return pi if _stationary_enough(pi.pi, model, counter) else None
+
     part = None
     for k in range(st.size):
-        rebuilt = False
-        if part is None or k == 0:
-            rebuilt = k > 0
-            model, part = rebuild(k)
-        else:
-            nxt = None
+        nxt = None
+        if part is not None:
             try:
                 nxt = rank_one_inverse_update(part, counter)
             except (DenominatorNearZero, SingularSystem):
-                nxt = None
-            if nxt is not None and _update_is_safe(nxt):
-                part, model = nxt, nxt.model
-            else:
-                rebuilt = True
-                model, part = rebuild(k)
-
-        pi = None
-        if part is not None:
-            try:
-                pi = steady_state_from_partition(part, counter)
-            except SingularSystem:
-                pi = None
-            if pi is not None and not _stationary_enough(pi.pi, model, counter):
-                pi = None
-            if pi is None and not rebuilt:
-                # a stale carried inverse may be the culprit; retry fresh
-                rebuilt = True
-                model, part = rebuild(k)
-                if part is not None:
-                    try:
-                        pi = steady_state_from_partition(part, counter)
-                    except SingularSystem:
-                        pi = None
-                    if pi is not None and not _stationary_enough(pi.pi, model, counter):
-                        pi = None
-        if pi is None:
-            yield SweepStep(model=model, part=part, pi=steady_state_folding(model),
-                            rebuilt=rebuilt, degraded=True)
+                pass
+        carried = nxt is not None and _update_is_safe(nxt)
+        if carried:
+            part, model = nxt, nxt.model
         else:
-            yield SweepStep(model=model, part=part, pi=pi, rebuilt=rebuilt, degraded=False)
+            model, part = rebuild(k)
+        rebuilt = k > 0 and not carried
+        pi = stationary(model, part)
+        if pi is None and carried:
+            # a stale carried inverse may be the culprit; retry fresh
+            rebuilt = True
+            model, part = rebuild(k)
+            pi = stationary(model, part)
+        degraded = pi is None
+        if degraded:
+            pi = steady_state_folding(model)
+        yield SweepStep(model=model, part=part, pi=pi, rebuilt=rebuilt, degraded=degraded)
 
 
 def _best_of(trace) -> Tuple[int, float]:

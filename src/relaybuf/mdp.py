@@ -362,15 +362,9 @@ def check_value_properties(v: ValueFunction, cfg: SystemConfig,
                            slack: float = PROPERTY_SLACK) -> StructureReport:
     """Certify monotonicity, unit increments and K-concavity of V.
 
-    The report also carries the advantage-monotonicity flag so a single call
-    gives the full certificate.
+    The report also carries the supermodularity flag (the action advantage
+    is non-decreasing in q), so a single call gives the full certificate.
     """
-    return _structure(np.asarray(v.v, dtype=float), cfg, slack)
-
-
-def check_supermodularity(v: ValueFunction, cfg: SystemConfig,
-                          slack: float = PROPERTY_SLACK) -> StructureReport:
-    """Certify that the action advantage is non-decreasing in q."""
     return _structure(np.asarray(v.v, dtype=float), cfg, slack)
 
 

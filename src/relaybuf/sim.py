@@ -231,9 +231,8 @@ def compare(cfg: SystemConfig, policies: Sequence[PolicySpec],
     return [(policy_label(p), simulate(cfg, p, settings)) for p in policies]
 
 
-def _record_baseline(cfg, policy, sym_list, ncols):
+def _record_baseline(next_q, packed, acode, ncols, sym_list):
     """Baseline trajectory: cumulative reward plus the link-choice record."""
-    next_q, packed, acode, _ = _policy_table(cfg, policy)
     h = len(sym_list)
     codes = np.empty(h, dtype=np.uint8)
     q = 0
@@ -261,7 +260,7 @@ def dominance_check(cfg: SystemConfig, policy: PolicySpec, settings: SimSettings
     _check_accumulator(cfg, settings.horizon)   # _record_baseline packs the whole path
     next_q, packed, acode, ncols = _policy_table(cfg, policy)
     sym = _symbols(cfg, policy, settings, rep=0)
-    base_reward, codes = _record_baseline(cfg, policy, sym, ncols)
+    base_reward, codes = _record_baseline(next_q, packed, acode, ncols, sym)
 
     # (a) same link choices, random feasible rates, vectorized across variants
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((settings.seed, 0, 2))))

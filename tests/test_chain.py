@@ -236,6 +236,19 @@ def test_update_path_random_configs(rng):
                 assert np.array_equal(step.part.ahat_inv, direct.ahat_inv)
 
 
+@pytest.mark.parametrize("cfg", [
+    SystemConfig(6, 4, 115, 0.10060707698765914, 0.4781383256090595),
+    SystemConfig(4, 2, 117, 0.15697612151192808, 0.8438847903346093),
+])
+def test_first_threshold_failing_its_gate_is_not_refactored(cfg):
+    # threshold 0's inverse is always fresh, so when its stationary vector
+    # fails the gate, a retry would repeat the identical elimination
+    first = next(sweep_steps(cfg))
+    assert first.degraded and not first.rebuilt
+    res = rank_one_search(cfg)
+    assert res.fallbacks <= res.structure.size - 1
+
+
 def test_folding_solver_matches_elimination():
     pi = steady_state_folding(build_transition_matrix(CFG3, 1))
     assert np.abs(pi.pi - PI3_TH1).max() < 1e-14

@@ -5,7 +5,6 @@ from relaybuf import (
     SolverSettings,
     SystemConfig,
     ValueFunction,
-    check_supermodularity,
     check_value_properties,
     extract_threshold,
     optimal_threshold_search,
@@ -203,9 +202,9 @@ def test_properties_flag_quadratic_increments():
 
 def test_supermodularity_zero_and_synthetic_violation():
     cfg = SystemConfig(1, 2, 6, 0.5, 0.5)
-    assert check_supermodularity(zero_vf(cfg), cfg).supermodular
+    assert check_value_properties(zero_vf(cfg), cfg).supermodular
     concave_down = ValueFunction(v=-np.arange(7, dtype=float) ** 2, theta=0.0)
-    report = check_supermodularity(concave_down, cfg)
+    report = check_value_properties(concave_down, cfg)
     if not report.supermodular:
         assert report.first_violation[0] in ("monotone", "supermodular")
 
