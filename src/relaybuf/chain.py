@@ -86,12 +86,12 @@ class FlopCounter:
         self.total += int(n)
 
 
-def solve_elimination(a: np.ndarray, b: np.ndarray, counter: Optional[FlopCounter] = None,
-                      pivot_tol: float = PIVOT_TOL) -> np.ndarray:
+def solve_elimination(a: np.ndarray, b: np.ndarray,
+                      counter: Optional[FlopCounter] = None) -> np.ndarray:
     """Solve a x = b by Gaussian elimination with partial pivoting.
 
     b may be a vector or a matrix of stacked right-hand sides.  Raises
-    SingularSystem when a pivot falls below pivot_tol.  Counted flops follow
+    SingularSystem when a pivot falls below PIVOT_TOL.  Counted flops follow
     the usual 2n^3/3 + O(n^2) accounting for a single right-hand side.
     """
     a = np.array(a, dtype=float)
@@ -101,8 +101,8 @@ def solve_elimination(a: np.ndarray, b: np.ndarray, counter: Optional[FlopCounte
     k = rhs.shape[1]
     for col in range(n):
         piv = col + int(np.argmax(np.abs(a[col:, col])))
-        if abs(a[piv, col]) < pivot_tol:
-            raise SingularSystem(f"pivot {a[piv, col]:.3e} below {pivot_tol} at column {col}")
+        if abs(a[piv, col]) < PIVOT_TOL:
+            raise SingularSystem(f"pivot {a[piv, col]:.3e} below {PIVOT_TOL} at column {col}")
         if piv != col:
             a[[col, piv]] = a[[piv, col]]
             rhs[[col, piv]] = rhs[[piv, col]]
@@ -273,11 +273,19 @@ def _column_order(k: int, m: int) -> List[int]:
     return list(range(m - 1))
 
 
+def _reduced_system(p: np.ndarray, k: int):
+    # A = I - P^T at threshold index k, the reduced matrix's column order,
+    # the reduced matrix (removed column compacted out, last row dropped)
+    # and the removed column's remainder y.
+    m = p.shape[0]
+    a = np.eye(m) - p.T
+    order = _column_order(k, m)
+    return a, order, a[: m - 1, :][:, order], a[: m - 1, _removed_column(k, m)].copy()
+
+
 def _assemble_pi(x_hat: np.ndarray, order: List[int], removed: int) -> np.ndarray:
-    m = len(order) + 1
-    x = np.empty(m)
-    for pos, label in enumerate(order):
-        x[label] = x_hat[pos]
+    x = np.empty(len(order) + 1)
+    x[order] = x_hat
     x[removed] = 1.0
     # sub-roundoff negatives are zeroed; anything larger signals a bad solve
     if x.min() < -1e-9 * max(x.max(), 1.0):
@@ -315,12 +323,8 @@ class PartitionedSystem:
 
 def partition_system(model: ChainModel, counter: Optional[FlopCounter] = None) -> PartitionedSystem:
     """Build the reduced system for one threshold and invert it by elimination."""
-    m = model.P.shape[0]
-    a = np.eye(m) - model.P.T
     k = model.k
-    order = _column_order(k, m)
-    ahat = a[: m - 1, :][:, order]
-    y = a[: m - 1, _removed_column(k, m)].copy()
+    a, order, ahat, y = _reduced_system(model.P, k)
     inv = invert_elimination(ahat, counter)
     return PartitionedSystem(model=model, k=k, A=a, ahat=ahat, y=y,
                              order=order, ahat_inv=inv)
@@ -337,11 +341,8 @@ def steady_state_direct(model: ChainModel, counter: Optional[FlopCounter] = None
     at roundoff accuracy without touching the cost of benign solves.
     """
     m = model.P.shape[0]
-    a = np.eye(m) - model.P.T
     k = model.k
-    order = _column_order(k, m)
-    ahat = a[: m - 1, :][:, order]
-    y = a[: m - 1, _removed_column(k, m)]
+    _, order, ahat, y = _reduced_system(model.P, k)
     x_hat = solve_elimination(ahat, -y, counter)
     for _ in range(2):
         resid = ahat @ x_hat + y
@@ -486,18 +487,15 @@ def rank_one_inverse_update(prev: PartitionedSystem,
         raise ThresholdNotRecurrent(f"no threshold after index {prev.k}")
     k_next = prev.k + 1
     next_model = build_transition_matrix(cfg, st.states[k_next], st)
-    a_next = np.eye(m) - next_model.P.T
+    a_next, order_next, ahat_next, y_next = _reduced_system(next_model.P, k_next)
 
     j_old = _removed_column(prev.k, m)   # column returning to the reduced matrix
     j_new = _removed_column(k_next, m)   # column leaving it
-    order_next = _column_order(k_next, m)
 
     # Row permutation carrying each retained label to its new position; the
     # re-entering column initially holds the leaving label's old values.
     sigma = [prev.order.index(j_new if lab == j_old else lab) for lab in order_next]
     permuted_inv = prev.ahat_inv[sigma, :]
-    ahat_next = a_next[: m - 1, :][:, order_next]
-    y_next = a_next[: m - 1, j_new].copy()
 
     denom = None
     scale = 0.0

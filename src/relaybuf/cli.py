@@ -19,6 +19,8 @@ from pathlib import Path
 
 from . import __version__
 from .chain import (
+    SweepResult,
+    _best_of,
     brute_force_search,
     map_threshold_set,
     optimal_threshold_search,
@@ -254,24 +256,23 @@ def cmd_compare(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
+    how = ""
     if args.symmetric:
         sym = symmetric_config_of(cfg)
         if sym is None:
             raise ValueError("--symmetric needs rs == rr, ps == pr and nr a multiple of rs")
-        trace = [(m * sym.rate, symmetric_throughput(sym, m)) for m in range(sym.n + 1)]
-        lines = ["q_th,throughput"] + [f"{q},{v:.12g}" for q, v in trace]
-        best_q, best = max(trace, key=lambda t: (t[1], t[0]))
-        em = _Emitter(args.out)
-        em.write("sweep_trace.csv", "\n".join(lines) + "\n")
-        em.manifest("sweep", cfg, {"symmetric": True})
-        print(f"q_opt={best_q} throughput={best:.12g} |C|={sym.n + 1} (closed form)")
-        return 0
-    sweep = optimal_threshold_search(cfg)
+        trace = tuple((m * sym.rate, symmetric_throughput(sym, m)) for m in range(sym.n + 1))
+        best_q, best = _best_of(trace)
+        sweep = SweepResult(q_opt=best_q, throughput=best, trace=trace,
+                            structure=recurrent_class(cfg))
+        how = " (closed form)"
+    else:
+        sweep = optimal_threshold_search(cfg)
     em = _Emitter(args.out)
     em.write("sweep_trace.csv", trace_csv(sweep))
-    em.manifest("sweep", cfg, {"symmetric": False})
+    em.manifest("sweep", cfg, {"symmetric": args.symmetric})
     print(f"q_opt={sweep.q_opt} throughput={sweep.throughput:.12g} "
-          f"|C|={sweep.structure.size}")
+          f"|C|={sweep.structure.size}{how}")
     return 0
 
 

@@ -1,17 +1,20 @@
 """Average-reward solvers for the relay queue and structure certificates.
 
 Two solvers compute the optimal long-run throughput theta and a relative
-value vector V over queue states:
+value vector V over queue states.  Both end in one Howard walk
+(``_howard_walk``): evaluate a rule exactly with one pinned
+(nr + 2)-dimensional solve, replace it by its greedy rule, and stop when
+the greedy rule is one already evaluated.
 
 * ``rvia_solve`` -- relative value iteration with span-seminorm stopping.
-  Candidate greedy rules are periodically handed to a certification path
-  (a short walk of exact pinned policy evaluations plus a residual and
-  structure check), so near-tie systems where plain iteration oscillates
-  forever still finish with a solution tighter than the span rule asks for.
-* ``policy_iteration_solve`` -- plain Howard policy iteration: every round
-  evaluates the current rule exactly with one pinned (nr + 2)-dimensional
-  solve and improves it greedily, until the rule is a fixed point or the
-  walk returns to a rule of the same gain on a tie plateau.
+  At convergence, and every POLISH_PERIOD sweeps before it, the greedy rule
+  starts a short walk whose pairs are accepted only with a residual and
+  structure certificate, so near-tie systems where plain iteration
+  oscillates forever still finish with a solution tighter than the span
+  rule asks for.
+* ``policy_iteration_solve`` -- plain Howard policy iteration: one walk
+  from the greedy rule of V = 0, ending at a fixed point or on a return to
+  a rule of the same gain (a tie plateau).
 
 The certificates (monotonicity, bounded increments, K-concavity with
 K = rs + rr, and the monotone action-advantage that makes the optimal rule
@@ -113,10 +116,10 @@ def delta_j(v: ValueFunction, cfg: SystemConfig) -> np.ndarray:
     return j1 - j0
 
 
-def greedy_policy(values: np.ndarray, cfg: SystemConfig, tie_tol: float = TIE_TOL) -> np.ndarray:
-    """Argmax rule for a_r; ties (advantage <= tie_tol) keep the source link."""
+def greedy_policy(values: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+    """Argmax rule for a_r; ties (advantage <= TIE_TOL) keep the source link."""
     j0, j1 = action_values(values, cfg)
-    return (j1 > j0 + tie_tol).astype(np.int8)
+    return (j1 > j0 + TIE_TOL).astype(np.int8)
 
 
 def _policy_dynamics(policy: np.ndarray, cfg: SystemConfig):
@@ -165,6 +168,26 @@ def bellman_residual(v: ValueFunction, cfg: SystemConfig) -> float:
     return float(np.abs(v.theta + v.v - np.maximum(j0, j1)).max())
 
 
+def _howard_walk(policy: np.ndarray, cfg: SystemConfig, q0: int, rounds: int):
+    """Howard's evaluate-and-improve walk (Puterman, 1994, section 8.6).
+
+    Evaluates the rule exactly (V(q0) pinned to 0) and replaces it by the
+    greedy rule of its value vector, until the greedy rule is one already
+    evaluated: the last one at a fixed point, an earlier one on a cycle.
+    Returns the evaluated rules in walk order, each keyed by its bytes and
+    mapped to (rule, ValueFunction), and the rule the walk came back to.
+    Raises NoConvergence after ``rounds`` evaluations.
+    """
+    walked = {}
+    for _ in range(rounds):
+        theta, v = evaluate_policy_direct(policy, cfg, q0)
+        walked[policy.tobytes()] = (policy, ValueFunction(v=v, theta=theta, reference_state=q0))
+        policy = greedy_policy(v, cfg)
+        if policy.tobytes() in walked:
+            return walked, policy
+    raise NoConvergence(f"Howard walk did not close in {rounds} evaluations")
+
+
 # Cadence of mid-iteration certification attempts, and the Howard-step
 # budget each attempt may spend resolving near-tie states the oscillating
 # iterate cannot settle.
@@ -172,14 +195,12 @@ POLISH_PERIOD = 5000
 POLISH_HOWARD_ROUNDS = 8
 
 
-def _certified_solution(policy: np.ndarray, cfg: SystemConfig, s: SolverSettings,
-                        improve: bool) -> Optional[ValueFunction]:
+def _certified_solution(policy: np.ndarray, cfg: SystemConfig,
+                        s: SolverSettings) -> Optional[ValueFunction]:
     """Exact evaluation of a candidate rule, accepted only with a certificate.
 
-    The rule is evaluated exactly and replaced by its greedy rule until the
-    walk reaches a fixed point or revisits a rule it has already evaluated;
-    without ``improve`` the walk is one evaluation long and must end at a
-    fixed point.  The first walked pair whose optimality-equation residual
+    The rule starts a Howard walk of at most POLISH_HOWARD_ROUNDS
+    evaluations.  The first walked pair whose optimality-equation residual
     sits at solver precision and whose value vector carries the structural
     certificates of the canonical solution is returned.  Closing the walk on
     a revisit resolves near-tie states that plain value iteration flips
@@ -191,23 +212,14 @@ def _certified_solution(policy: np.ndarray, cfg: SystemConfig, s: SolverSettings
     the wrong resolution satisfy the residual check while bending the value
     shape.
     """
-    rounds = POLISH_HOWARD_ROUNDS if improve else 1
-    walked = {}
     try:
-        for _ in range(rounds):
-            theta, v_ex = evaluate_policy_direct(policy, cfg, s.q0)
-            walked[policy.tobytes()] = ValueFunction(v=v_ex, theta=theta, reference_state=s.q0)
-            policy = greedy_policy(v_ex, cfg)
-            if policy.tobytes() in walked:
-                break
-        else:
-            return None
-    except SingularEvaluation:
+        walked, _ = _howard_walk(policy, cfg, s.q0, POLISH_HOWARD_ROUNDS)
+    except (NoConvergence, SingularEvaluation):
         return None
     limit = min(s.tol, 1e-10)
-    for candidate in walked.values():
+    for _, candidate in walked.values():
         if (bellman_residual(candidate, cfg) <= limit * (1 + abs(candidate.theta))
-                and _structure(candidate.v, cfg, PROPERTY_SLACK).all_hold):
+                and check_value_properties(candidate, cfg).all_hold):
             return candidate
     return None
 
@@ -217,45 +229,35 @@ def rvia_solve(cfg: SystemConfig, settings: Optional[SolverSettings] = None) -> 
 
     Iterates V <- max_a J(., a) - max_a J(q0, a) until the span of the
     successive difference drops below tol; theta is the subtracted reference
-    value at convergence, after which the greedy rule is evaluated exactly
-    and the polished pair returned when certified (the raw iterate is the
-    fallback and itself meets the residual contract).
+    value at convergence, after which the greedy rule is handed to the
+    certification path and the certified pair returned (the raw iterate is
+    the fallback and itself meets the residual contract).
 
     Undamped value iteration can oscillate forever at near-tie states, so
     every POLISH_PERIOD sweeps the current greedy rule is offered to the
-    certification path; a certified exact solution ends the solve early with
-    a strictly tighter residual than the span rule asks for.
+    certification path as well; a certified exact solution ends the solve
+    early with a strictly tighter residual than the span rule asks for.
     """
     _require_interior(cfg)
     s = settings or SolverSettings()
     if not 0 <= s.q0 <= cfg.nr:
         raise QueueOutOfRange(f"reference state {s.q0} outside 0..{cfg.nr}")
     v = np.zeros(cfg.nr + 1)
-    theta = 0.0
-    converged = False
-    for n in range(s.max_iter):
+    for n in range(1, s.max_iter + 1):
         j0, j1 = action_values(v, cfg)
         best = np.maximum(j0, j1)
         theta = float(best[s.q0])
         v_next = best - theta
         diff = v_next - v
-        span = float(diff.max() - diff.min())
         v = v_next
-        if span < s.tol:
-            converged = True
-            break
-        if (n + 1) % POLISH_PERIOD == 0:
-            certified = _certified_solution(greedy_policy(v, cfg), cfg, s, improve=True)
+        converged = float(diff.max() - diff.min()) < s.tol
+        if converged or n % POLISH_PERIOD == 0:
+            certified = _certified_solution(greedy_policy(v, cfg), cfg, s)
             if certified is not None:
                 return certified
-
-    raw = ValueFunction(v=v, theta=theta, reference_state=s.q0)
-    certified = _certified_solution(greedy_policy(v, cfg), cfg, s, improve=False)
-    if certified is not None:
-        return certified
-    if not converged:
-        raise NoConvergence(f"span above {s.tol} after {s.max_iter} iterations")
-    return raw
+        if converged:
+            return ValueFunction(v=v, theta=theta, reference_state=s.q0)
+    raise NoConvergence(f"span above {s.tol} after {s.max_iter} iterations")
 
 
 # Round cap for policy iteration; exact Howard steps settle within a few
@@ -266,36 +268,27 @@ PIA_MAX_ROUNDS = 500
 def policy_iteration_solve(cfg: SystemConfig, settings: Optional[SolverSettings] = None):
     """Howard policy iteration on exact evaluations; returns (theta, TabularPolicy).
 
-    Starting from the greedy rule of V = 0, every round evaluates the current
-    rule exactly (``evaluate_policy_direct``, V(q0) pinned to 0) and replaces
-    it by the greedy rule of its value vector.  The iteration ends at a fixed
-    point, whose pair solves the optimality equation to solver precision.  If
-    improvement instead returns to an already evaluated rule of the same gain
-    (within 1e-9 relative), the walk is on a tie plateau where knife-edge
-    states flip between near-equivalent resolutions; the evaluated rule with
-    the highest gain is returned.  Only ``settings.q0`` is used.
+    One Howard walk from the greedy rule of V = 0.  A fixed point's pair
+    solves the optimality equation to solver precision and is returned.  If
+    improvement instead returns to an earlier rule of the same gain (within
+    1e-9 relative), the walk is on a tie plateau where knife-edge states
+    flip between near-equivalent resolutions; the evaluated rule with the
+    highest gain is returned.  A return to a rule of another gain is a
+    cycle that further rounds cannot leave, and raises NoConvergence.  Only
+    ``settings.q0`` is used.
     """
     _require_interior(cfg)
     s = settings or SolverSettings()
-    policy = greedy_policy(np.zeros(cfg.nr + 1), cfg)
-    evaluated = {}
-    best_theta, best_policy = -np.inf, policy
-    for _ in range(PIA_MAX_ROUNDS):
-        theta, v = evaluate_policy_direct(policy, cfg, s.q0)
-        evaluated[policy.tobytes()] = theta
-        if theta > best_theta:
-            best_theta, best_policy = theta, policy
-        improved = greedy_policy(v, cfg)
-        if np.array_equal(improved, policy):
-            break
-        prior = evaluated.get(improved.tobytes())
-        if prior is not None and abs(theta - prior) <= 1e-9 * (1.0 + abs(theta)):
-            theta, policy = best_theta, best_policy
-            break
-        policy = improved
-    else:
-        raise NoConvergence(f"policy iteration did not stabilize in {PIA_MAX_ROUNDS} rounds")
-    return theta, TabularPolicy(relay_choice=tuple(int(a) for a in policy))
+    walked, back = _howard_walk(greedy_policy(np.zeros(cfg.nr + 1), cfg), cfg, s.q0,
+                                PIA_MAX_ROUNDS)
+    steps = list(walked.values())
+    policy, vf = steps[-1]
+    if not np.array_equal(back, policy):
+        prior = walked[back.tobytes()][1].theta
+        if abs(vf.theta - prior) > 1e-9 * (1.0 + abs(vf.theta)):
+            raise NoConvergence(f"policy iteration cycles between gains {prior!r} and {vf.theta!r}")
+        policy, vf = max(steps, key=lambda step: step[1].theta)
+    return vf.theta, TabularPolicy(relay_choice=tuple(int(a) for a in policy))
 
 
 def extract_threshold(v: ValueFunction, cfg: SystemConfig) -> int:
@@ -330,8 +323,14 @@ def relay_activation_state(v: ValueFunction, cfg: SystemConfig) -> int:
     return int(nonneg[0])
 
 
-def _structure(v: np.ndarray, cfg: SystemConfig, slack: float):
-    inc = np.diff(v)
+def check_value_properties(vf: ValueFunction, cfg: SystemConfig,
+                           slack: float = PROPERTY_SLACK) -> StructureReport:
+    """Certify monotonicity, unit increments and K-concavity of V.
+
+    The report also carries the supermodularity flag (the action advantage
+    is non-decreasing in q), so a single call gives the full certificate.
+    """
+    inc = np.diff(np.asarray(vf.v, dtype=float))
     monotone = bool(np.all(inc >= -slack))
     increments = bool(np.all(inc <= 1.0 + slack))
     k = cfg.rs + cfg.rr
@@ -341,9 +340,7 @@ def _structure(v: np.ndarray, cfg: SystemConfig, slack: float):
     hi = inc[k: k + width]
     lo = inc[:width]
     k_concave = bool(np.all(hi <= lo + slack))
-    vf = ValueFunction(v=v, theta=0.0)
-    dj = delta_j(vf, cfg)
-    ddj = np.diff(dj)
+    ddj = np.diff(delta_j(vf, cfg))
     supermodular = bool(np.all(ddj >= -slack))
 
     first = None
@@ -356,16 +353,6 @@ def _structure(v: np.ndarray, cfg: SystemConfig, slack: float):
     elif not supermodular:
         first = ("supermodular", int(np.flatnonzero(ddj < -slack)[0]))
     return StructureReport(monotone, increments, k_concave, supermodular, first)
-
-
-def check_value_properties(v: ValueFunction, cfg: SystemConfig,
-                           slack: float = PROPERTY_SLACK) -> StructureReport:
-    """Certify monotonicity, unit increments and K-concavity of V.
-
-    The report also carries the supermodularity flag (the action advantage
-    is non-decreasing in q), so a single call gives the full certificate.
-    """
-    return _structure(np.asarray(v.v, dtype=float), cfg, slack)
 
 
 def sign_changes(values: np.ndarray, tol: float = PROPERTY_SLACK) -> int:

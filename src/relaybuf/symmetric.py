@@ -59,36 +59,39 @@ def _check_m(sc: SymmetricConfig, m: int):
         raise ThresholdNotRecurrent(f"m={m} outside 0..{sc.n}")
 
 
+def _normalizer(sc: SymmetricConfig, m: int) -> float:
+    # Sum of the unnormalized masses p * p_bar**k below, 2 - p_bar**(m+1) -
+    # p_bar**(n-m), in [1, 2): no power of p_bar is divided by, so nothing
+    # cancels to 0/0 once the large powers underflow.
+    _check_m(sc, m)
+    return 2.0 - sc.p_bar ** (m + 1) - sc.p_bar ** (sc.n - m)
+
+
 def symmetric_steady_state(sc: SymmetricConfig, m: int) -> SteadyState:
     """Stationary distribution over the lattice states {0, R, ..., n*R}.
 
     Index i of the returned vector is the state i*R; m is the threshold in
     lattice units (q_th = m*R).  The masses follow geometric recurrences:
     rising by 1/p_bar below the threshold, flat across it, falling by p_bar
-    above it.
+    above it, so state i carries p * p_bar**k / normalizer with k = m - i
+    up to the threshold and k = i - m - 1 above it.
     """
-    _check_m(sc, m)
-    pb, n = sc.p_bar, sc.n
-    denom = pb ** (2 * m + 2) + pb ** (n + 1) - 2 * pb ** (m + 1)
-    pi = np.empty(n + 1)
-    pi[0] = (pb ** (2 * m + 2) - pb ** (2 * m + 1)) / denom
-    for i in range(n):
-        if i <= m - 1:
-            pi[i + 1] = pi[i] / pb
-        elif i == m:
-            pi[i + 1] = pi[i]
-        else:
-            pi[i + 1] = pb * pi[i]
-    return SteadyState(pi=pi)
+    norm = _normalizer(sc, m)
+    i = np.arange(sc.n + 1)
+    k = np.where(i <= m, m - i, i - m - 1)
+    return SteadyState(pi=sc.p * sc.p_bar ** k / norm)
 
 
 def symmetric_objective(sc: SymmetricConfig, m: int) -> float:
-    """Boundary mass pi_0(m) + pi_n(m); minimizing it maximizes throughput."""
-    _check_m(sc, m)
-    pb, n = sc.p_bar, sc.n
-    num = pb ** (n + 1) - pb ** n + pb ** (2 * m + 2) - pb ** (2 * m + 1)
-    den = pb ** (2 * m + 2) + pb ** (n + 1) - 2 * pb ** (m + 1)
-    return num / den
+    """Boundary mass pi_0(m) + pi_n(m); minimizing it maximizes throughput.
+
+    At m = n (the relay never wins a both-on slot) the p_bar**(n-m-1) term
+    is 1/p_bar rather than pi_n's 1: the value is then the boundary loss the
+    throughput formula needs, not a mass.
+    """
+    norm = _normalizer(sc, m)
+    pb = sc.p_bar
+    return sc.p * (pb ** (sc.n - m - 1) + pb ** m) / norm
 
 
 def symmetric_throughput(sc: SymmetricConfig, m: int) -> float:
@@ -117,15 +120,3 @@ def symmetric_optimal_threshold(sc: SymmetricConfig) -> Tuple[int, ...]:
         lo = n * r // 2 - r
         hi = n * r // 2 + r - 1
     return tuple(range(lo, hi + 1))
-
-
-def boundary_mass_continuous(sc: SymmetricConfig, x: float) -> float:
-    """The objective as a function of x = p_bar**m, continuously extended.
-
-    Stationary point sits at x* = p_bar**((n-1)/2); used to sanity-check the
-    closed-form optimum by finite differences.
-    """
-    pb, n = sc.p_bar, sc.n
-    num = pb ** (n + 1) - pb ** n + (pb ** 2) * x * x - pb * x * x
-    den = (pb ** 2) * x * x + pb ** (n + 1) - 2 * pb * x
-    return num / den

@@ -68,6 +68,15 @@ def test_solve_flags_a_threshold_off_the_plateau(tmp_path, monkeypatch):
     assert json.loads((tmp_path / "solve_report.json").read_text())["agreement"]["ok"] is False
 
 
+def test_solve_symmetric_where_closed_form_powers_underflow(tmp_path):
+    # p_bar**(n+1) underflows here; the closed form once raised ZeroDivisionError
+    code = run(tmp_path, "solve", "--rs", "1", "--rr", "1", "--nr", "400",
+               "--ps", "0.9", "--pr", "0.9")
+    assert code == 0
+    report = json.loads((tmp_path / "solve_report.json").read_text())
+    assert report["symmetric"]["matches_sweep"] is True
+
+
 def test_solve_rejects_bad_config(tmp_path):
     assert run(tmp_path, "solve", "--rs", "2", "--rr", "2", "--nr", "2",
                "--ps", "0.5", "--pr", "0.5") == 2

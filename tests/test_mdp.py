@@ -141,6 +141,29 @@ def test_pia_exact_rounds_match_sweep(monkeypatch):
             assert thetas[-1] < theta == max(thetas)
 
 
+def test_pia_raises_at_once_on_a_cycle_of_two_gains(monkeypatch):
+    # improvement alternates between two rules of different gain; a walk
+    # back to the first rule cannot end on a plateau, so PIA stops there
+    cfg = SystemConfig(1, 1, 14, 0.5, 0.5)
+    rules = (np.zeros(cfg.nr + 1, dtype=np.int8), (np.arange(cfg.nr + 1) > 7).astype(np.int8))
+    improvements = []
+    evaluations = []
+
+    def alternating(values, cfg):
+        improvements.append(None)
+        return rules[len(improvements) % 2]
+
+    def counted(*args, **kwargs):
+        evaluations.append(None)
+        return evaluate_policy_direct(*args, **kwargs)
+
+    monkeypatch.setattr(mdp, "greedy_policy", alternating)
+    monkeypatch.setattr(mdp, "evaluate_policy_direct", counted)
+    with pytest.raises(NoConvergence):
+        policy_iteration_solve(cfg)
+    assert len(evaluations) == 2
+
+
 def test_extract_threshold_zero_value_function():
     cfg = SystemConfig(1, 2, 5, 0.5, 0.5)
     assert extract_threshold(zero_vf(cfg), cfg) == 0
